@@ -82,7 +82,8 @@ def cmd_fusion_table(args) -> int:
 
 def _power_rows(p: int, kind: str, index: int, single_i: int | None):
     if kind == "sym":
-        top = p - index if index >= 2 else p
+        # for m > p keep the row i = 0, so sym_power_simple rejects the index
+        top = max(p - index, 0) if index >= 2 else p
         builder = lambda i: sym_power_simple(i, index, p)
     else:
         top = index
@@ -231,6 +232,8 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     primes = tuple(int(s) for s in args.p_list.split(","))
+    if args.max_dim < 0:
+        raise ValueError(f"--max-dim must be nonnegative, got {args.max_dim}")
     cfg = VerifyConfig(
         primes=primes,
         n_random=args.n_random,

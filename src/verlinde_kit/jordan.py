@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import factorial
 
 import numpy as np
 
@@ -154,15 +153,15 @@ def ext_power_matrix(u: np.ndarray, i: int, p: int) -> np.ndarray:
     n = u.shape[0]
     basis = list(itertools.combinations(range(n), i))
     index = {b: k for k, b in enumerate(basis)}
+    images = [[(l, int(u[l, k])) for l in range(n) if u[l, k]] for k in range(n)]
     out = np.zeros((len(basis), len(basis)), dtype=np.int64)
     for col, tup in enumerate(basis):
         acc: dict[tuple[int, ...], int] = {(): 1}
         for var in tup:
             nxt: dict[tuple[int, ...], int] = {}
             for t1, c1 in acc.items():
-                for l in range(n):
-                    c2 = int(u[l, var])
-                    if c2 == 0 or l in t1:
+                for l, c2 in images[var]:
+                    if l in t1:
                         continue
                     above = sum(1 for s in t1 if s > l)
                     sign = -1 if above % 2 else 1
@@ -196,88 +195,37 @@ def jordan_ext(i: int, m: int, p: int) -> JordanType:
     return jordan_type_of(ext_power_matrix(unipotent_block(m), i, p), p)
 
 
-def sym_power_matrix_slow(u: np.ndarray, i: int, p: int, max_dim: int = 4096) -> np.ndarray:
-    """Second-level oracle for symmetric powers: build the full i-fold tensor
-    power (dimension n^i), project with the symmetrizer, and restrict to a
-    column basis of its image.  Needs i < p so the symmetrizer exists."""
-    u = np.array(u, dtype=np.int64) % p
-    n = u.shape[0]
-    if not 0 <= i < p:
-        raise ValueError(f"symmetrizer needs 0 <= i < p, got i = {i}")
-    if n**i > max_dim:
-        raise ValueError(f"tensor power dimension {n**i} exceeds budget {max_dim}")
-    if i == 0:
-        return np.eye(1, dtype=np.int64)
-    big = u
-    for _ in range(i - 1):
-        big = np.kron(big, u) % p
-    dim = n**i
-    sym = np.zeros((dim, dim), dtype=np.int64)
-    tuples = list(itertools.product(range(n), repeat=i))
-    flat = {t: k for k, t in enumerate(tuples)}
-    for perm in itertools.permutations(range(i)):
-        for t, k in flat.items():
-            permuted = tuple(t[perm[j]] for j in range(i))
-            sym[flat[permuted], k] += 1
-    inv_fact = pow(factorial(i) % p, p - 2, p)
-    sym = (sym * inv_fact) % p
-    cols = _column_basis(sym, p)
-    basis = sym[:, cols]
-    # restriction of the tensor action to the image of the symmetrizer
-    return _solve_in_basis(basis, (big @ basis) % p, p)
-
-
 def _column_basis(a: np.ndarray, p: int) -> list[int]:
-    """Pivot columns of a matrix over F_p (forward elimination only)."""
+    """Pivot columns of a matrix over F_p (forward elimination only).
+
+    The pivot of column c is the first row at or below the current rank that
+    is nonzero in column c.  Each step clears column c only in the rows below
+    the pivot that are nonzero there, and only on columns c:, because every
+    row from the current rank down is already zero left of c.  The oracle's
+    matrices are mostly zeros, so most rows are never touched.
+    """
     a = np.array(a, dtype=np.int64) % p
     rows, cols = a.shape
     rank = 0
     pivots = []
     for c in range(cols):
-        nonzero = np.nonzero(a[rank:, c])[0]
+        nonzero = np.flatnonzero(a[rank:, c])
         if nonzero.size == 0:
             continue
         piv = rank + int(nonzero[0])
         if piv != rank:
-            a[[rank, piv]] = a[[piv, rank]]
-        inv = pow(int(a[rank, c]), p - 2, p)
-        a[rank] = (a[rank] * inv) % p
-        below = a[rank + 1 :, c]
-        if below.size and below.any():
-            a[rank + 1 :] = (a[rank + 1 :] - np.outer(below, a[rank])) % p
+            a[[rank, piv], c:] = a[[piv, rank], c:]
+        # after the swap, row piv holds the old row rank, which is zero in column c
+        targets = rank + nonzero[1:]
+        if targets.size:
+            inv = pow(int(a[rank, c]), p - 2, p)
+            factors = (a[targets, c] * inv) % p
+            a[targets, c:] = (a[targets, c:] - factors[:, None] * a[rank, c:]) % p
         pivots.append(c)
         rank += 1
         if rank == rows:
             break
     return pivots
-
-
-def _solve_in_basis(basis: np.ndarray, target: np.ndarray, p: int) -> np.ndarray:
-    """Solve basis @ X = target mod p, where basis has full column rank and
-    the columns of target lie in its span."""
-    rows, d = basis.shape
-    k = target.shape[1]
-    aug = np.concatenate([basis, target], axis=1) % p
-    rank = 0
-    for c in range(d):
-        piv = None
-        for i in range(rank, rows):
-            if aug[i, c]:
-                piv = i
-                break
-        if piv is None:
-            raise ValueError("basis matrix does not have full column rank")
-        if piv != rank:
-            aug[[rank, piv]] = aug[[piv, rank]]
-        inv = pow(int(aug[rank, c]), p - 2, p)
-        aug[rank] = (aug[rank] * inv) % p
-        col = aug[:, c].copy()
-        col[rank] = 0
-        aug = (aug - np.outer(col, aug[rank])) % p
-        rank += 1
-    if np.any(aug[d:, d:] % p):
-        raise ValueError("target columns are not in the span of the basis")
-    return aug[:d, d : d + k] % p
 
 
 def negligible_quotient(t: JordanType) -> VerObj:

@@ -66,6 +66,15 @@ def test_sympow_json_schema(capsys):
     assert payload["rows"][2]["mults"] == [0, 0, 1, 0]
 
 
+def test_sympow_index_above_p_is_range_error(capsys):
+    # an index above p is a range error, not an empty table, for both powers
+    for argv in (("sympow", "--p", "5", "--m", "7"), ("extpow", "--p", "5", "--r", "7")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "out of range" in err
+
+
 def test_extpow_json(capsys):
     code, out, _ = run_cli(capsys, "extpow", "--p", "5", "--r", "3", "--format", "json")
     assert code == 0
@@ -210,6 +219,13 @@ def test_verify_text_pass_line(capsys):
 def test_verify_rejects_p2(capsys):
     code, _, err = run_cli(capsys, "verify", "--p-list", "2,3")
     assert code == 2
+
+
+def test_verify_rejects_negative_max_dim(capsys):
+    code, out, err = run_cli(capsys, "verify", "--p-list", "3", "--max-dim", "-1")
+    assert code == 2
+    assert "PASS" not in out
+    assert "--max-dim" in err
 
 
 def test_output_is_deterministic(capsys):
