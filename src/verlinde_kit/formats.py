@@ -15,9 +15,15 @@ from .ring import VerObj
 from .weyl import Weight
 
 
+def _int(value, what: str) -> int:
+    """value itself if it is a true int; JSON floats and booleans are
+    rejected rather than truncated."""
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def laurent_to_json(f: LaurentPoly) -> dict:
-    if not f.is_integral():
-        raise ValueError("only integral Laurent polynomials have a wire form")
     if f.is_zero():
         return {"offset": 0, "coeffs": []}
     lo, hi = f.valuation(), f.degree()
@@ -26,11 +32,11 @@ def laurent_to_json(f: LaurentPoly) -> dict:
 
 def laurent_from_json(obj: dict) -> LaurentPoly:
     try:
-        offset = int(obj["offset"])
+        offset = _int(obj["offset"], "offset")
         coeffs = list(obj["coeffs"])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad Laurent polynomial object: {obj!r}") from exc
-    return LaurentPoly({offset + k: int(c) for k, c in enumerate(coeffs)})
+    return LaurentPoly({offset + k: _int(c, "coefficient") for k, c in enumerate(coeffs)})
 
 
 _TERM_RE = re.compile(
@@ -90,7 +96,7 @@ def verobj_to_json(x: VerObj) -> dict:
 
 def verobj_from_json(obj: dict) -> VerObj:
     try:
-        return VerObj.from_mults(int(obj["p"]), obj["mults"])
+        return VerObj(_int(obj["p"], "p"), tuple(_int(a, "multiplicity") for a in obj["mults"]))
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad ring element object: {obj!r}") from exc
 
@@ -109,7 +115,7 @@ def weight_to_json(w: Weight) -> dict:
 
 def weight_from_json(obj: dict) -> Weight:
     try:
-        return Weight.of(int(obj["m"]), obj["parts"])
+        return Weight.of(_int(obj["m"], "m"), [_int(a, "weight part") for a in obj["parts"]])
     except (KeyError, TypeError) as exc:
         raise ValueError(f"bad weight object: {obj!r}") from exc
 

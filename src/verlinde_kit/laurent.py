@@ -1,8 +1,8 @@
 """Exact Laurent-polynomial and cyclotomic-integer arithmetic.
 
-Everything in this module is exact.  Laurent polynomials carry int or
-Fraction coefficients; elements of Z[q], with q a primitive 2p-th root of
-unity, are kept in a canonical coordinate vector so that equality of field
+Everything in this module is exact.  Laurent polynomials carry int
+coefficients only; elements of Z[q], with q a primitive 2p-th root of unity,
+are kept in a canonical coordinate vector so that equality of field
 elements is literal equality of tuples.
 """
 from __future__ import annotations
@@ -11,8 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt
-
-Scalar = int | Fraction
 
 
 class IntegralityError(ArithmeticError):
@@ -37,28 +35,21 @@ def check_odd_prime(p: int) -> None:
         raise ValueError(f"p = {p} is not prime")
 
 
-def _norm_scalar(c: Scalar) -> Scalar:
-    if isinstance(c, Fraction):
-        return int(c) if c.denominator == 1 else c
-    if isinstance(c, bool) or not isinstance(c, int):
-        raise TypeError(f"coefficient must be int or Fraction, got {type(c).__name__}")
-    return c
-
-
 class LaurentPoly:
     """Finitely supported Laurent polynomial sum_j b_j z^j.
 
-    Immutable; zero coefficients are never stored.  Coefficients are ints,
-    promoted to Fractions only when a denominator actually appears.
+    Immutable; zero coefficients are never stored.  Coefficients are ints
+    (bool and every other type raise TypeError).
     """
 
     __slots__ = ("_coeffs",)
 
-    def __init__(self, coeffs: dict[int, Scalar] | None = None):
-        data: dict[int, Scalar] = {}
+    def __init__(self, coeffs: dict[int, int] | None = None):
+        data: dict[int, int] = {}
         if coeffs:
             for e, c in coeffs.items():
-                c = _norm_scalar(c)
+                if type(c) is not int:
+                    raise TypeError(f"coefficient must be int, got {type(c).__name__}")
                 if c != 0:
                     data[int(e)] = c
         object.__setattr__(self, "_coeffs", data)
@@ -74,19 +65,19 @@ class LaurentPoly:
         return cls({0: 1})
 
     @classmethod
-    def constant(cls, c: Scalar) -> "LaurentPoly":
+    def constant(cls, c: int) -> "LaurentPoly":
         return cls({0: c})
 
     @classmethod
-    def monomial(cls, exponent: int, coeff: Scalar = 1) -> "LaurentPoly":
+    def monomial(cls, exponent: int, coeff: int = 1) -> "LaurentPoly":
         return cls({exponent: coeff})
 
     # -- inspection --------------------------------------------------------
 
-    def coeff(self, e: int) -> Scalar:
+    def coeff(self, e: int) -> int:
         return self._coeffs.get(e, 0)
 
-    def items(self) -> list[tuple[int, Scalar]]:
+    def items(self) -> list[tuple[int, int]]:
         return sorted(self._coeffs.items())
 
     @property
@@ -103,25 +94,21 @@ class LaurentPoly:
     def valuation(self) -> int:
         return min(self._coeffs) if self._coeffs else 0
 
-    def is_integral(self) -> bool:
-        return all(isinstance(c, int) for c in self._coeffs.values())
-
     def is_symmetric(self) -> bool:
         """True iff b_j = b_{-j} for all j, i.e. the polynomial is fixed by z -> 1/z."""
         return all(self._coeffs.get(-e, 0) == c for e, c in self._coeffs.items())
 
-    def evaluate(self, x: Scalar) -> Scalar:
+    def evaluate(self, x: int | Fraction) -> int | Fraction:
+        """The value at a nonzero rational x, as an int whenever it is one."""
         if x == 0:
             raise ValueError("cannot evaluate a Laurent polynomial at 0")
-        total: Scalar = 0
-        for e, c in self._coeffs.items():
-            total += c * (Fraction(x) ** e if e < 0 else x**e)
-        return _norm_scalar(Fraction(total) if not isinstance(total, int) else total)
+        total = sum(c * Fraction(x) ** e for e, c in self._coeffs.items())
+        return int(total) if total.denominator == 1 else total
 
     # -- arithmetic --------------------------------------------------------
 
-    def __add__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+    def __add__(self, other: "LaurentPoly | int") -> "LaurentPoly":
+        if isinstance(other, int):
             other = LaurentPoly.constant(other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
@@ -135,18 +122,18 @@ class LaurentPoly:
     def __neg__(self) -> "LaurentPoly":
         return LaurentPoly({e: -c for e, c in self._coeffs.items()})
 
-    def __sub__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
+    def __sub__(self, other: "LaurentPoly | int") -> "LaurentPoly":
         return self + (-other if isinstance(other, LaurentPoly) else -LaurentPoly.constant(other))
 
-    def __rsub__(self, other: Scalar) -> "LaurentPoly":
+    def __rsub__(self, other: int) -> "LaurentPoly":
         return LaurentPoly.constant(other) - self
 
-    def __mul__(self, other: "LaurentPoly | Scalar") -> "LaurentPoly":
-        if isinstance(other, (int, Fraction)):
+    def __mul__(self, other: "LaurentPoly | int") -> "LaurentPoly":
+        if isinstance(other, int):
             return LaurentPoly({e: c * other for e, c in self._coeffs.items()})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
-        out: dict[int, Scalar] = {}
+        out: dict[int, int] = {}
         for e1, c1 in self._coeffs.items():
             for e2, c2 in other._coeffs.items():
                 e = e1 + e2
@@ -167,10 +154,6 @@ class LaurentPoly:
             n >>= 1
         return result
 
-    def reciprocal(self) -> "LaurentPoly":
-        """The image under z -> 1/z."""
-        return LaurentPoly({-e: c for e, c in self._coeffs.items()})
-
     def scale_exponents(self, k: int) -> "LaurentPoly":
         """The image under z -> z^k, for nonzero k."""
         if k == 0:
@@ -178,27 +161,25 @@ class LaurentPoly:
         return LaurentPoly({k * e: c for e, c in self._coeffs.items()})
 
     def exact_div(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Exact quotient self / other; raises IntegralityError on any remainder."""
+        """Exact quotient self / other by integer long division; raises
+        IntegralityError on any remainder.  A step that does not divide
+        evenly leaves its floor remainder in a position no later step
+        touches, so a non-integral quotient is a remainder too."""
         if other.is_zero():
             raise ValueError("division by the zero polynomial")
-        if self.is_zero():
-            return LaurentPoly.zero()
         sn, sd = self.valuation(), other.valuation()
-        num = [Fraction(self._coeffs.get(e, 0)) for e in range(sn, self.degree() + 1)]
-        den = [Fraction(other._coeffs.get(e, 0)) for e in range(sd, other.degree() + 1)]
-        if len(num) < len(den):
-            raise IntegralityError("Laurent division left a nonzero remainder")
-        quot = [Fraction(0)] * (len(num) - len(den) + 1)
-        rem = num[:]
-        for i in range(len(quot) - 1, -1, -1):
-            c = rem[i + len(den) - 1] / den[-1]
-            quot[i] = c
+        rem = [self._coeffs.get(e, 0) for e in range(sn, self.degree() + 1)]
+        den = [other._coeffs.get(e, 0) for e in range(sd, other.degree() + 1)]
+        quot = {}
+        for i in range(len(rem) - len(den), -1, -1):
+            c = rem[i + len(den) - 1] // den[-1]
             if c:
+                quot[i + sn - sd] = c
                 for j, dc in enumerate(den):
                     rem[i + j] -= c * dc
         if any(rem):
             raise IntegralityError("Laurent division left a nonzero remainder")
-        return LaurentPoly({i + sn - sd: c for i, c in enumerate(quot) if c})
+        return LaurentPoly(quot)
 
     # -- object protocol ---------------------------------------------------
 
@@ -206,8 +187,8 @@ class LaurentPoly:
         return bool(self._coeffs)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.constant(other)
+        if isinstance(other, int):
+            return self._coeffs == ({0: other} if other else {})
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         return self._coeffs == other._coeffs
@@ -222,10 +203,7 @@ class LaurentPoly:
         for e, c in sorted(self._coeffs.items(), reverse=True):
             sign = "-" if c < 0 else "+"
             mag = abs(c)
-            if isinstance(mag, Fraction):
-                cs = f"({mag})"
-            else:
-                cs = str(mag) if (mag != 1 or e == 0) else ""
+            cs = str(mag) if (mag != 1 or e == 0) else ""
             if e == 0:
                 term = cs or "1"
             elif e == 1:
@@ -256,26 +234,34 @@ def quantum_int(r: int) -> LaurentPoly:
     return LaurentPoly({r - 1 - 2 * k: 1 for k in range(r)})
 
 
-@lru_cache(maxsize=None)
 def gauss_binom(n: int, m: int) -> LaurentPoly:
     """The symmetrized Gauss polynomial binom(n, m)_z.
 
-    Computed as the exact quotient of prod_{j=1}^m (z^{n-j+1} - z^{-(n-j+1)})
-    by prod_{j=1}^m (z^j - z^-j); the division being remainder-free is a
-    theorem, so a remainder raises IntegralityError.  The value at z = 1 is
-    the ordinary binomial coefficient.
+    row[b] holds the q-coefficients of [a+b, b]_q, stepped from a = 0 to n-m
+    by the q-Pascal rule [a+b, b]_q = [a+b-1, b-1]_q + q^b [a+b-1, b]_q in
+    integer additions alone, then centred at q = z^2 by z^{-m(n-m)}.  The
+    value at z = 1 is the ordinary binomial coefficient.
     """
     if m < 0 or n < 0 or m > n:
         raise ValueError(f"gauss_binom requires 0 <= m <= n, got n={n}, m={m}")
-    num = LaurentPoly.one()
-    den = LaurentPoly.one()
-    for j in range(1, m + 1):
-        num = num * LaurentPoly({n - j + 1: 1, -(n - j + 1): -1})
-        den = den * LaurentPoly({j: 1, -j: -1})
-    return num.exact_div(den)
+    row = [[1] for _ in range(m + 1)]
+    for a in range(1, n - m + 1):
+        for b in range(1, m + 1):
+            left, right = row[b - 1], row[b]  # already at a, still at a - 1
+            row[b] = left[:b] + [x + y for x, y in zip(left[b:], right)] + right[len(left) - b :]
+    shift = m * (n - m)
+    return LaurentPoly({2 * d - shift: c for d, c in enumerate(row[m])})
 
 
-def twice_trace(f: LaurentPoly, p: int) -> Scalar:
+def alternating_p_sum(f: LaurentPoly, p: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """The functional sum_j (-1)^j c_{pj} on f = sum_j c_j z^j, which is the
+    constant term of f mod z^p + 1, with its nonzero (j, c_{pj}) pairs sorted
+    by j.  Walks the support of f, so its cost does not grow with degree."""
+    contributions = tuple(sorted((e // p, c) for e, c in f._coeffs.items() if e % p == 0))
+    return sum(-c if j % 2 else c for j, c in contributions), contributions
+
+
+def twice_trace(f: LaurentPoly, p: int) -> int:
     """Twice the field trace of f(q) from the real subfield of Q(q) down to Q,
     for q a primitive 2p-th root of unity, computed combinatorially:
 
@@ -287,13 +273,7 @@ def twice_trace(f: LaurentPoly, p: int) -> Scalar:
     check_odd_prime(p)
     if not f.is_symmetric():
         raise ValueError("twice_trace requires a symmetric Laurent polynomial")
-    alt: Scalar = 0
-    jmax = max(abs(f.valuation()), abs(f.degree())) // p
-    for j in range(-jmax, jmax + 1):
-        c = f.coeff(p * j)
-        if c:
-            alt += -c if j % 2 else c
-    return _norm_scalar(p * alt - f.evaluate(-1))
+    return p * alternating_p_sum(f, p)[0] - f.evaluate(-1)
 
 
 # ---------------------------------------------------------------------------
@@ -339,8 +319,8 @@ class Cyclotomic:
             raise ValueError(f"p = {self.p} is not prime")
         if len(self.coords) != self.p - 1:
             raise ValueError(f"expected {self.p - 1} coordinates, got {len(self.coords)}")
-        if not all(isinstance(c, int) for c in self.coords):
-            raise TypeError("coordinates must be integers")
+        if not all(type(c) is int for c in self.coords):
+            raise TypeError("coordinates must be integers (bool is rejected)")
 
     # -- constructors ------------------------------------------------------
 
@@ -455,10 +435,8 @@ class Cyclotomic:
 
 
 def to_cyclotomic(f: LaurentPoly, p: int) -> Cyclotomic:
-    """Evaluate an integral Laurent polynomial at q and reduce to canonical form."""
+    """Evaluate a Laurent polynomial at q and reduce to canonical form."""
     check_odd_prime(p)
-    if not f.is_integral():
-        raise ValueError("to_cyclotomic requires integer coefficients")
     return Cyclotomic(p, _canonical_coords(p, dict(f.items())))
 
 

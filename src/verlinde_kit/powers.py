@@ -8,7 +8,9 @@ r the multiplicity is an alternating sum of coefficients at exponents
 divisible by p:
 
     a_r = (1/4) * sum_j (-1)^j c_{pj},   where
-    sum_j c_j z^j = (z^-r - z^r)(z - z^-1)(P_fp(z) - (-1)^r P_sfp(z)).
+    sum_j c_j z^j = (z^-r - z^r)(z - z^-1)(P_fp(z) - (-1)^r P_sfp(z)),
+
+and that alternating sum is laurent.alternating_p_sum.
 
 This is the combinatorial form of the trace projection formula; the direct
 Galois-conjugate summation is kept in the test suite as an independent
@@ -24,7 +26,7 @@ from .laurent import (
     Cyclotomic,
     IntegralityError,
     LaurentPoly,
-    Scalar,
+    alternating_p_sum,
     check_odd_prime,
     galois,
     gauss_binom,
@@ -33,6 +35,10 @@ from .ring import VerObj, fpdim, fuse
 
 _Z_MINUS_ZINV = LaurentPoly({1: 1, -1: -1})
 
+# Bound on the multiset expansion's memo table, far above the few thousand
+# entries a long library session at p = 31 makes.
+_MULTISET_CACHE_SIZE = 2**14
+
 
 @dataclass(frozen=True)
 class DecompositionTerm:
@@ -40,21 +46,9 @@ class DecompositionTerm:
     behind it: the coefficients c_{pj} that survive in the trace projection."""
 
     r: int
-    contributions: tuple[tuple[int, Scalar], ...]  # (j, c_{pj}) pairs
-    alternating_sum: Scalar
+    contributions: tuple[tuple[int, int], ...]  # (j, c_{pj}) pairs
+    alternating_sum: int
     multiplicity: Fraction
-
-
-def _alternating_p_sum(f: LaurentPoly, p: int) -> tuple[Scalar, tuple[tuple[int, Scalar], ...]]:
-    jmax = max(abs(f.valuation()), abs(f.degree())) // p
-    total: Scalar = 0
-    contributions = []
-    for j in range(-jmax, jmax + 1):
-        c = f.coeff(p * j)
-        if c:
-            contributions.append((j, c))
-            total += -c if j % 2 else c
-    return total, tuple(contributions)
 
 
 def decompose_terms(p_fp: LaurentPoly, p_sfp: LaurentPoly, p: int) -> list[DecompositionTerm]:
@@ -66,7 +60,7 @@ def decompose_terms(p_fp: LaurentPoly, p_sfp: LaurentPoly, p: int) -> list[Decom
     for r in range(1, p):
         combined = p_fp + (p_sfp if r % 2 else -p_sfp)
         f = LaurentPoly({-r: 1, r: -1}) * _Z_MINUS_ZINV * combined
-        total, contributions = _alternating_p_sum(f, p)
+        total, contributions = alternating_p_sum(f, p)
         terms.append(DecompositionTerm(r, contributions, total, Fraction(total, 4)))
     return terms
 
@@ -145,33 +139,19 @@ def ext_power_simple(i: int, r: int, p: int) -> VerObj:
     return fuse(twist, sym_power_simple(i, p - r, p))
 
 
-@lru_cache(maxsize=None)
-def _sym_multiset(i: int, simples: tuple[int, ...], p: int) -> VerObj:
+@lru_cache(maxsize=_MULTISET_CACHE_SIZE)
+def _power_multiset(power, i: int, simples: tuple[int, ...], p: int) -> VerObj:
+    """The i-th power of the direct sum of the simples, for power one of
+    sym_power_simple and ext_power_simple: P^n(X + Y) = sum_k P^k X . P^{n-k} Y."""
     if not simples:
         return VerObj.unit(p) if i == 0 else VerObj.zero(p)
     head, rest = simples[0], simples[1:]
     total = VerObj.zero(p)
     for k in range(i + 1):
-        factor = sym_power_simple(k, head, p)
+        factor = power(k, head, p)
         if factor.is_zero():
             continue
-        tail = _sym_multiset(i - k, rest, p)
-        if not tail.is_zero():
-            total = total + fuse(factor, tail)
-    return total
-
-
-@lru_cache(maxsize=None)
-def _ext_multiset(i: int, simples: tuple[int, ...], p: int) -> VerObj:
-    if not simples:
-        return VerObj.unit(p) if i == 0 else VerObj.zero(p)
-    head, rest = simples[0], simples[1:]
-    total = VerObj.zero(p)
-    for k in range(i + 1):
-        factor = ext_power_simple(k, head, p)
-        if factor.is_zero():
-            continue
-        tail = _ext_multiset(i - k, rest, p)
+        tail = _power_multiset(power, i - k, rest, p)
         if not tail.is_zero():
             total = total + fuse(factor, tail)
     return total
@@ -189,7 +169,7 @@ def sym_power(i: int, x: VerObj) -> VerObj:
     if i < 0:
         raise ValueError("power index must be nonnegative")
     _require_effective(x, "sym_power")
-    return _sym_multiset(i, x.simple_multiset(), x.p)
+    return _power_multiset(sym_power_simple, i, x.simple_multiset(), x.p)
 
 
 def ext_power(i: int, x: VerObj) -> VerObj:
@@ -197,7 +177,7 @@ def ext_power(i: int, x: VerObj) -> VerObj:
     if i < 0:
         raise ValueError("power index must be nonnegative")
     _require_effective(x, "ext_power")
-    return _ext_multiset(i, x.simple_multiset(), x.p)
+    return _power_multiset(ext_power_simple, i, x.simple_multiset(), x.p)
 
 
 def adams2(x: VerObj) -> VerObj:
@@ -236,11 +216,10 @@ def invariant_dim(i: int, m: int, p: int) -> int:
     if (i * (m - 1)) % 2:
         return 0
     doubled = _Z_MINUS_ZINV * _Z_MINUS_ZINV * gauss_binom(i + m - 1, m - 1)
-    total, _ = _alternating_p_sum(doubled, p)
-    a = Fraction(-total, 2)
-    if a.denominator != 1:
-        raise IntegralityError(f"invariant count came out {a}")
-    return int(a)
+    total, _ = alternating_p_sum(doubled, p)
+    if total % 2:
+        raise IntegralityError(f"invariant count came out {-total}/2")
+    return -total // 2
 
 
 def classical_invariant_count(i: int, d: int) -> int:
@@ -253,10 +232,10 @@ def classical_invariant_count(i: int, d: int) -> int:
     if d == 0:
         return 1 if i == 0 else 0
     doubled = _Z_MINUS_ZINV * _Z_MINUS_ZINV * gauss_binom(i + d - 1, d - 1)
-    b0 = Fraction(-doubled.coeff(0), 2)
-    if b0.denominator != 1:
-        raise IntegralityError(f"invariant count came out {b0}")
-    return int(b0)
+    b0 = -doubled.coeff(0)
+    if b0 % 2:
+        raise IntegralityError(f"invariant count came out {b0}/2")
+    return b0 // 2
 
 
 def transcendence_degrees(x: VerObj) -> tuple[int, int]:

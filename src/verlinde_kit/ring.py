@@ -29,8 +29,8 @@ class VerObj:
             raise ValueError(f"p = {self.p} is not prime")
         if len(self.mults) != self.p - 1:
             raise ValueError(f"expected {self.p - 1} multiplicities for p = {self.p}, got {len(self.mults)}")
-        if not all(isinstance(a, int) for a in self.mults):
-            raise TypeError("multiplicities must be integers")
+        if not all(type(a) is int for a in self.mults):
+            raise TypeError("multiplicities must be integers (bool is rejected)")
 
     # -- constructors ------------------------------------------------------
 
@@ -47,10 +47,6 @@ class VerObj:
         if not 1 <= r <= p - 1:
             raise ValueError(f"simple index r = {r} out of range 1..{p - 1}")
         return cls(p, tuple(1 if s == r else 0 for s in range(1, p)))
-
-    @classmethod
-    def from_mults(cls, p: int, mults) -> "VerObj":
-        return cls(p, tuple(int(a) for a in mults))
 
     # -- inspection --------------------------------------------------------
 

@@ -1,4 +1,5 @@
 import json
+import time
 
 from verlinde_kit.cli import main
 from verlinde_kit.formats import verobj_from_json
@@ -125,6 +126,28 @@ def test_decompose_integrality_exit_code(capsys):
     assert "integrality" in err
 
 
+def test_decompose_json_non_integer_is_bad_input(capsys):
+    for fp in (
+        '{"offset":0,"coeffs":[1.5]}',
+        '{"offset":0,"coeffs":[true]}',
+        '{"offset":0.5,"coeffs":[1]}',
+    ):
+        code, out, err = run_cli(capsys, "decompose", "--p", "5", "--fpdim", fp, "--sfpdim", "1")
+        assert code == 2, fp
+        assert out == ""
+        assert "integer" in err
+
+
+def test_decompose_huge_exponent_is_cheap(capsys):
+    start = time.monotonic()
+    code, out, _ = run_cli(
+        capsys, "decompose", "--p", "3", "--fpdim", "z^300000000+z^-300000000", "--sfpdim", "0"
+    )
+    assert time.monotonic() - start < 10
+    assert code == 0
+    assert out.strip() == "L1+L2"
+
+
 def test_decompose_parse_error_exit_code(capsys):
     code, _, err = run_cli(capsys, "decompose", "--p", "5", "--fpdim", "q+1", "--sfpdim", "1")
     assert code == 2
@@ -226,6 +249,14 @@ def test_verify_rejects_negative_max_dim(capsys):
     assert code == 2
     assert "PASS" not in out
     assert "--max-dim" in err
+
+
+def test_verify_without_oracle_cells_fails(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--p-list", "3", "--max-dim", "0", "--n-random", "5", "--n-roundtrip", "5")
+    assert code == 4
+    assert "FAIL sym p=3 oracle coverage" in out
+    assert "FAIL ext p=3 oracle coverage" in out
+    assert out.strip().splitlines()[-1].startswith("FAIL")
 
 
 def test_output_is_deterministic(capsys):

@@ -33,10 +33,43 @@ def test_laurent_json_roundtrip(f):
 def test_laurent_json_errors():
     with pytest.raises(ValueError):
         laurent_from_json({"coeffs": [1]})
-    from fractions import Fraction
 
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"offset": 0, "coeffs": [1.5]},
+        {"offset": 0, "coeffs": [2.0]},
+        {"offset": 0, "coeffs": [True]},
+        {"offset": 0, "coeffs": ["1"]},
+        {"offset": 0.5, "coeffs": [1]},
+        {"offset": True, "coeffs": [1]},
+    ],
+)
+def test_laurent_json_rejects_non_integers(obj):
     with pytest.raises(ValueError):
-        laurent_to_json(LaurentPoly({0: Fraction(1, 2)}))
+        laurent_from_json(obj)
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"p": 5, "mults": [1.5, 0, 0, 0]},
+        {"p": 5, "mults": [True, 0, 0, 0]},
+        {"p": 5.0, "mults": [1, 0, 0, 0]},
+        {"p": 5, "mults": 1},
+    ],
+)
+def test_verobj_json_rejects_non_integers(obj):
+    with pytest.raises(ValueError):
+        verobj_from_json(obj)
+
+
+def test_weight_json_rejects_non_integers():
+    with pytest.raises(ValueError):
+        weight_from_json({"m": 3, "parts": [1.5]})
+    with pytest.raises(ValueError):
+        weight_from_json({"m": 3.0, "parts": [1]})
 
 
 def test_parse_laurent_plain():

@@ -15,6 +15,7 @@ from verlinde_kit import (
     to_cyclotomic,
     twice_trace,
 )
+from verlinde_kit.laurent import alternating_p_sum
 
 from conftest import ODD_PRIMES, integral_laurent, symmetric_laurent
 
@@ -78,10 +79,11 @@ def test_equality_with_scalars():
     assert LaurentPoly({1: 1}) != 1
 
 
-def test_is_integral():
-    assert LaurentPoly({1: 2, -1: 2}).is_integral()
-    assert not LaurentPoly({0: Fraction(1, 2)}).is_integral()
-    assert LaurentPoly({0: Fraction(4, 2)}).is_integral()
+def test_non_int_coefficients_rejected():
+    assert LaurentPoly({1: 2, -1: 2}).coeff(1) == 2
+    for bad in (Fraction(1, 2), Fraction(4, 2), True, 1.0):
+        with pytest.raises(TypeError):
+            LaurentPoly({0: bad})
 
 
 def test_evaluate():
@@ -106,6 +108,15 @@ def test_exact_div_remainder_raises():
         num.exact_div(den)
     with pytest.raises(ValueError):
         num.exact_div(LaurentPoly.zero())
+
+
+def test_exact_div_non_integral_quotient_raises():
+    # (2z + 2) / 2 is fine; (z + 1) / 2 and (z^2 - 1) / (2z - 2) are not integral
+    assert LaurentPoly({1: 2, 0: 2}).exact_div(LaurentPoly({0: 2})) == LaurentPoly({1: 1, 0: 1})
+    with pytest.raises(IntegralityError):
+        LaurentPoly({1: 1, 0: 1}).exact_div(LaurentPoly({0: 2}))
+    with pytest.raises(IntegralityError):
+        LaurentPoly({2: 1, 0: -1}).exact_div(LaurentPoly({1: 2, 0: -2}))
 
 
 @given(integral_laurent(), integral_laurent(), integral_laurent())
@@ -141,7 +152,6 @@ def test_quantum_int_symmetric_integral():
     for r in range(-20, 21):
         f = quantum_int(r)
         assert f.is_symmetric()
-        assert f.is_integral()
 
 
 def test_quantum_int_defining_quotient():
@@ -151,6 +161,23 @@ def test_quantum_int_defining_quotient():
 
 
 # -- Gauss binomials ----------------------------------------------------------
+
+
+def _gauss_binom_by_division(n: int, m: int) -> LaurentPoly:
+    """Reference definition: the exact quotient of
+    prod_{j=1}^m (z^{n-j+1} - z^{-(n-j+1)}) by prod_{j=1}^m (z^j - z^-j)."""
+    num = LaurentPoly.one()
+    den = LaurentPoly.one()
+    for j in range(1, m + 1):
+        num = num * LaurentPoly({n - j + 1: 1, -(n - j + 1): -1})
+        den = den * LaurentPoly({j: 1, -j: -1})
+    return num.exact_div(den)
+
+
+def test_gauss_against_division_definition():
+    for n in range(21):
+        for m in range(n + 1):
+            assert gauss_binom(n, m) == _gauss_binom_by_division(n, m), (n, m)
 
 
 def test_gauss_examples():
@@ -196,7 +223,6 @@ def test_gauss_symmetric_integral_nonnegative():
         for m in range(n + 1):
             f = gauss_binom(n, m)
             assert f.is_symmetric()
-            assert f.is_integral()
             assert all(c > 0 for _, c in f.items())
 
 
@@ -210,6 +236,28 @@ def test_gauss_errors():
 
 
 # -- the trace functional -----------------------------------------------------
+
+
+def _constant_term_mod_zp_plus_1(f: LaurentPoly, p: int) -> int:
+    # fold f into Z[z]/(z^p + 1): z^e = (-1)^k z^r for e = kp + r, 0 <= r < p
+    folded = [0] * p
+    for e, c in f.items():
+        k, r = divmod(e, p)
+        folded[r] += -c if k % 2 else c
+    return folded[0]
+
+
+@settings(max_examples=200)
+@given(
+    st.dictionaries(st.integers(-60, 60), st.integers(-9, 9), max_size=12),
+    st.sampled_from((2,) + ODD_PRIMES + (13,)),
+)
+def test_alternating_p_sum_is_constant_term_mod_zp_plus_1(data, p):
+    f = LaurentPoly(data)
+    total, contributions = alternating_p_sum(f, p)
+    assert total == _constant_term_mod_zp_plus_1(f, p)
+    want = [(e // p, c) for e, c in sorted(data.items()) if c and e % p == 0]
+    assert list(contributions) == want
 
 
 def test_twice_trace_power_sums():
@@ -265,8 +313,6 @@ def test_to_cyclotomic_known_folds():
 
 
 def test_to_cyclotomic_rejects():
-    with pytest.raises(ValueError):
-        to_cyclotomic(LaurentPoly({0: Fraction(1, 2)}), 5)
     with pytest.raises(ValueError):
         to_cyclotomic(LaurentPoly.one(), 2)
     with pytest.raises(ValueError):
@@ -325,6 +371,12 @@ def test_galois_rejects_bad_exponent():
         galois(x, 2)
     with pytest.raises(ValueError):
         galois(x, 5)
+
+
+def test_cyclotomic_rejects_bool_coordinates():
+    with pytest.raises(TypeError):
+        Cyclotomic(5, (True, 0, 0, 0))
+    assert Cyclotomic(5, (1, 0, 0, 0)) == Cyclotomic.one(5)
 
 
 def test_cyclotomic_arithmetic_and_reality():

@@ -38,6 +38,8 @@ def test_verobj_validation():
         VerObj(5, (1, 1, 1))
     with pytest.raises(TypeError):
         VerObj(5, (1, 1, 1, 1.5))
+    with pytest.raises(TypeError):
+        VerObj(5, (True, 0, 0, 0))
     with pytest.raises(ValueError):
         VerObj.simple(5, 5)
 
