@@ -35,9 +35,10 @@ from .ring import VerObj, fpdim, fuse
 
 _Z_MINUS_ZINV = LaurentPoly({1: 1, -1: -1})
 
-# Bound on the multiset expansion's memo table, far above the few thousand
-# entries a long library session at p = 31 makes.
-_MULTISET_CACHE_SIZE = 2**14
+# Bound on the multiset expansion's memo table.  Measured with the table
+# unbounded: one perfbench verify_oracle job (p = 11, 13) makes 24,357 to
+# 25,084 entries, a default `verify` run 15,580, an objects job about 3,700.
+_MULTISET_CACHE_SIZE = 2**16
 
 
 @dataclass(frozen=True)

@@ -252,11 +252,16 @@ def test_verify_rejects_negative_max_dim(capsys):
 
 
 def test_verify_without_oracle_cells_fails(capsys):
-    code, out, _ = run_cli(capsys, "verify", "--p-list", "3", "--max-dim", "0", "--n-random", "5", "--n-roundtrip", "5")
-    assert code == 4
-    assert "FAIL sym p=3 oracle coverage" in out
-    assert "FAIL ext p=3 oracle coverage" in out
-    assert out.strip().splitlines()[-1].startswith("FAIL")
+    # a budget below 2 admits only 1x1 matrices, whose Jordan type is forced
+    for max_dim in ("0", "1"):
+        code, out, _ = run_cli(capsys, "verify", "--p-list", "3", "--max-dim", max_dim, "--n-random", "5", "--n-roundtrip", "5")
+        assert code == 4
+        assert "FAIL sym p=3 oracle coverage" in out
+        assert "FAIL ext p=3 oracle coverage" in out
+        assert out.strip().splitlines()[-1].startswith("FAIL")
+    code, out, _ = run_cli(capsys, "verify", "--p-list", "3", "--max-dim", "2", "--n-random", "5", "--n-roundtrip", "5")
+    assert code == 0
+    assert "oracle coverage" not in out
 
 
 def test_output_is_deterministic(capsys):
