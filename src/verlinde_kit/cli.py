@@ -11,9 +11,10 @@ import argparse
 import csv
 import json
 import sys
+from functools import lru_cache
 
 from . import formats
-from .laurent import IntegralityError
+from .laurent import IntegralityError, check_odd_prime, is_prime
 from .powers import (
     classical_invariant_count,
     decompose_from_dims,
@@ -48,8 +49,18 @@ def _emit_csv(header: list[str], rows: list[list]) -> None:
 def _parse_laurent_arg(text: str):
     text = text.strip()
     if text.startswith("{"):
-        return formats.laurent_from_json(json.loads(text))
+        try:
+            obj = json.loads(text)
+        except RecursionError as exc:
+            raise ValueError("JSON input nested too deeply") from exc
+        return formats.laurent_from_json(obj)
     return formats.parse_laurent(text)
+
+
+def _check_range(name: str, value: int, lo: int, hi: int) -> None:
+    """Reject an index outside lo..hi before any table is sized from it."""
+    if not lo <= value <= hi:
+        raise ValueError(f"{name} = {value} out of range {lo}..{hi}")
 
 
 # -- subcommands -------------------------------------------------------------
@@ -57,6 +68,8 @@ def _parse_laurent_arg(text: str):
 
 def cmd_fusion_table(args) -> int:
     p = args.p
+    if not is_prime(p):
+        raise ValueError(f"p = {p} is not prime")
     simples = [VerObj.simple(p, r) for r in range(1, p)]
     table = [[fuse(a, b) for b in simples] for a in simples]
     if args.format == "json":
@@ -81,9 +94,10 @@ def cmd_fusion_table(args) -> int:
 
 
 def _power_rows(p: int, kind: str, index: int, single_i: int | None):
+    check_odd_prime(p)
+    _check_range("simple index m" if kind == "sym" else "simple index r", index, 1, p - 1)
     if kind == "sym":
-        # for m > p keep the row i = 0, so sym_power_simple rejects the index
-        top = max(p - index, 0) if index >= 2 else p
+        top = p - index if index >= 2 else p
         builder = lambda i: sym_power_simple(i, index, p)
     else:
         top = index
@@ -138,11 +152,11 @@ def cmd_extpow(args) -> int:
 def cmd_decompose(args) -> int:
     p_fp = _parse_laurent_arg(args.fpdim)
     p_sfp = _parse_laurent_arg(args.sfpdim)
-    obj = decompose_from_dims(p_fp, p_sfp, args.p, expect_effective=not args.virtual)
-    terms = decompose_terms(p_fp, p_sfp, args.p) if args.explain else None
+    terms = decompose_terms(p_fp, p_sfp, args.p)
+    obj = decompose_from_dims(p_fp, p_sfp, args.p, expect_effective=not args.virtual, terms=terms)
     if args.format == "json":
         payload = formats.verobj_to_json(obj)
-        if terms:
+        if args.explain:
             payload["terms"] = [
                 {
                     "r": t.r,
@@ -157,7 +171,7 @@ def cmd_decompose(args) -> int:
         _emit_csv(["r", "multiplicity"], [[r, a] for r, a in enumerate(obj.mults, start=1)])
     else:
         print(str(obj))
-        if terms:
+        if args.explain:
             for t in terms:
                 pieces = ", ".join(f"j={j}: {c}" for j, c in t.contributions) or "no terms"
                 print(f"  a_{t.r} = (1/4)*({t.alternating_sum}) = {int(t.multiplicity)}   [{pieces}]")
@@ -165,6 +179,9 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_weyl(args) -> int:
+    check_odd_prime(args.p)
+    # the alcove needs lambda_1 + m - 1 < p; bound m before padding the weight
+    _check_range("rank parameter m", args.m, 2, args.p)
     weight = formats.parse_weight(args.weight, args.m)
     obj = decompose_weyl(weight, args.p)
     if args.format == "json":
@@ -210,6 +227,8 @@ def cmd_padic(args) -> int:
 
 def cmd_invariants(args) -> int:
     p, m = args.p, args.m
+    check_odd_prime(p)
+    _check_range("simple index m", m, 2, p - 1)
     indices = [args.i] if args.i is not None else list(range(p - m + 1))
     rows = []
     for i in indices:
@@ -232,8 +251,9 @@ def cmd_invariants(args) -> int:
 
 def cmd_verify(args) -> int:
     primes = tuple(int(s) for s in args.p_list.split(","))
-    if args.max_dim < 0:
-        raise ValueError(f"--max-dim must be nonnegative, got {args.max_dim}")
+    for option in ("max_dim", "n_random", "n_roundtrip"):
+        if getattr(args, option) < 0:
+            raise ValueError(f"--{option.replace('_', '-')} must be nonnegative, got {getattr(args, option)}")
     cfg = VerifyConfig(
         primes=primes,
         n_random=args.n_random,
@@ -277,7 +297,10 @@ def cmd_verify(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parse_args leaves it
+    unchanged, so every call of main can share it."""
     parser = argparse.ArgumentParser(
         prog="verlinde-kit",
         description="Exact computations in the Grothendieck ring of the Verlinde category Ver_p.",
@@ -343,6 +366,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        # argparse parses "--opt=--" to an empty list; no option here takes a list
+        if any(isinstance(value, list) for value in vars(args).values()):
+            parser.error("an option cannot take '--' as its value")
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import re
 
-from .laurent import LaurentPoly, quantum_int
+from .laurent import LaurentPoly, quantum_sum
 from .ring import VerObj
 from .weyl import Weight
 
@@ -38,6 +38,9 @@ def laurent_from_json(obj: dict) -> LaurentPoly:
         raise ValueError(f"bad Laurent polynomial object: {obj!r}") from exc
     return LaurentPoly({offset + k: _int(c, "coefficient") for k, c in enumerate(coeffs)})
 
+
+# Largest |r| accepted in the compact form [r]_z.
+QUANTUM_INT_CAP = 10**5
 
 _TERM_RE = re.compile(
     r"""^(?P<coeff>[+-]?\d*)
@@ -67,11 +70,16 @@ def _split_terms(text: str) -> list[str]:
 
 
 def parse_laurent(text: str) -> LaurentPoly:
-    """Parse "z^2+1+z^-2", "[3]_z", "-[2]_z", "2*[4]_z - 3z" and the like."""
+    """Parse "z^2+1+z^-2", "[3]_z", "-[2]_z", "2*[4]_z - 3z" and the like.
+
+    [r]_z has 2|r| - 1 terms, so |r| above QUANTUM_INT_CAP is rejected; plain
+    exponents cost one term each and are not capped.
+    """
     cleaned = text.replace(" ", "")
     if not cleaned:
         raise ValueError("empty Laurent polynomial")
-    total = LaurentPoly.zero()
+    monomials: dict[int, int] = {}
+    qweights: dict[int, int] = {}  # r -> coefficient of [r]_z, for r >= 1
     for term in _split_terms(cleaned):
         match = _TERM_RE.match(term)
         if not match:
@@ -79,15 +87,20 @@ def parse_laurent(text: str) -> LaurentPoly:
         raw = match.group("coeff")
         coeff = int(raw) if raw not in ("", "+", "-") else (-1 if raw == "-" else 1)
         if match.group("qint") is not None:
-            total = total + quantum_int(int(match.group("qint"))) * coeff
+            r = int(match.group("qint"))
+            if abs(r) > QUANTUM_INT_CAP:
+                raise ValueError(f"quantum integer [{r}]_z exceeds the cap |r| <= {QUANTUM_INT_CAP}")
+            if r:  # [-r]_z = -[r]_z and [0]_z = 0
+                qweights[abs(r)] = qweights.get(abs(r), 0) + (coeff if r > 0 else -coeff)
         elif match.group("zvar"):
             exp = int(match.group("exp")) if match.group("exp") is not None else 1
-            total = total + LaurentPoly.monomial(exp, coeff)
+            monomials[exp] = monomials.get(exp, 0) + coeff
         elif raw not in ("", "+", "-"):
-            total = total + coeff
+            monomials[0] = monomials.get(0, 0) + coeff
         else:
             raise ValueError(f"cannot parse term {term!r} in {text!r}")
-    return total
+    weights = [qweights.get(r, 0) for r in range(1, max(qweights, default=0) + 1)]
+    return quantum_sum(weights) + LaurentPoly(monomials)
 
 
 def verobj_to_json(x: VerObj) -> dict:

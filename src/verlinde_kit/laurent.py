@@ -220,7 +220,12 @@ class LaurentPoly:
         return f"LaurentPoly({dict(self.items())!r})"
 
 
-@lru_cache(maxsize=None)
+# Bound on quantum_int's memo table: library callers ask for r up to about
+# 2p, and the wire formats expand [r]_z through quantum_sum instead.
+_QUANTUM_INT_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=_QUANTUM_INT_CACHE_SIZE)
 def quantum_int(r: int) -> LaurentPoly:
     """The quantum integer [r]_z = (z^r - z^-r) / (z - z^-1).
 
@@ -232,6 +237,19 @@ def quantum_int(r: int) -> LaurentPoly:
     if r < 0:
         return -quantum_int(-r)
     return LaurentPoly({r - 1 - 2 * k: 1 for k in range(r)})
+
+
+def quantum_sum(weights) -> LaurentPoly:
+    """sum_r weights[r-1] [r]_z in O(len(weights)) integer additions.
+
+    The coefficient of z^e is the sum of weights[r-1] over r > |e| with
+    r - e odd, so one suffix sum over each parity class of r gives them all.
+    """
+    n = len(weights)
+    suffix = [0] * (n + 3)
+    for r in range(n, 0, -1):
+        suffix[r] = weights[r - 1] + suffix[r + 2]
+    return LaurentPoly({e: suffix[abs(e) + 1] for e in range(1 - n, n)})
 
 
 def gauss_binom(n: int, m: int) -> LaurentPoly:
@@ -253,12 +271,17 @@ def gauss_binom(n: int, m: int) -> LaurentPoly:
     return LaurentPoly({2 * d - shift: c for d, c in enumerate(row[m])})
 
 
+def _alternating_sum(contributions: tuple[tuple[int, int], ...]) -> int:
+    """sum_j (-1)^j c over (j, c) pairs."""
+    return sum(-c if j % 2 else c for j, c in contributions)
+
+
 def alternating_p_sum(f: LaurentPoly, p: int) -> tuple[int, tuple[tuple[int, int], ...]]:
     """The functional sum_j (-1)^j c_{pj} on f = sum_j c_j z^j, which is the
     constant term of f mod z^p + 1, with its nonzero (j, c_{pj}) pairs sorted
     by j.  Walks the support of f, so its cost does not grow with degree."""
     contributions = tuple(sorted((e // p, c) for e, c in f._coeffs.items() if e % p == 0))
-    return sum(-c if j % 2 else c for j, c in contributions), contributions
+    return _alternating_sum(contributions), contributions
 
 
 def twice_trace(f: LaurentPoly, p: int) -> int:
@@ -285,20 +308,18 @@ def _canonical_coords(p: int, terms: dict[int, int]) -> tuple[int, ...]:
     """Reduce an integer combination of powers of q to coordinates over the
     basis 1, q, ..., q^{p-2}, using q^{2p} = 1, q^p = -1 and the minimal
     polynomial q^{p-1} - q^{p-2} + ... - q + 1 = 0."""
-    acc = [0] * (p - 1)
+    acc = [0] * p
     for e, c in terms.items():
-        if c == 0:
-            continue
         e %= 2 * p
         if e >= p:
-            e -= p
-            c = -c
-        if e <= p - 2:
-            acc[e] += c
+            acc[e - p] -= c
         else:
-            # q^{p-1} = q^{p-2} - q^{p-3} + ... + q - 1
-            for i in range(p - 1):
-                acc[i] += c if i % 2 else -c
+            acc[e] += c
+    top = acc.pop()
+    if top:
+        # q^{p-1} = q^{p-2} - q^{p-3} + ... + q - 1
+        for i in range(p - 1):
+            acc[i] += top if i % 2 else -top
     return tuple(acc)
 
 
@@ -437,7 +458,7 @@ class Cyclotomic:
 def to_cyclotomic(f: LaurentPoly, p: int) -> Cyclotomic:
     """Evaluate a Laurent polynomial at q and reduce to canonical form."""
     check_odd_prime(p)
-    return Cyclotomic(p, _canonical_coords(p, dict(f.items())))
+    return Cyclotomic(p, _canonical_coords(p, f._coeffs))
 
 
 def galois(x: Cyclotomic, k: int) -> Cyclotomic:

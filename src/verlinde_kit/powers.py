@@ -8,9 +8,16 @@ r the multiplicity is an alternating sum of coefficients at exponents
 divisible by p:
 
     a_r = (1/4) * sum_j (-1)^j c_{pj},   where
-    sum_j c_j z^j = (z^-r - z^r)(z - z^-1)(P_fp(z) - (-1)^r P_sfp(z)),
+    sum_j c_j z^j = (z^-r - z^r)(z - z^-1) g(z),  g = P_fp - (-1)^r P_sfp.
 
-and that alternating sum is laurent.alternating_p_sum.
+The product is never formed.  Its first two factors expand to
+z^{1-r} - z^{-1-r} - z^{1+r} + z^{r-1}, so c_{pj} reads g at four shifts:
+
+    c_{pj} = g_{pj+r-1} - g_{pj+r+1} - g_{pj-r-1} + g_{pj-r+1}.
+
+Bucketing the support of each of the two g's by exponent mod p once, each r
+reads four buckets, and a whole decomposition costs O(deg + p).  The sum
+over j is the functional of laurent.alternating_p_sum.
 
 This is the combinatorial form of the trace projection formula; the direct
 Galois-conjugate summation is kept in the test suite as an independent
@@ -26,6 +33,7 @@ from .laurent import (
     Cyclotomic,
     IntegralityError,
     LaurentPoly,
+    _alternating_sum,
     alternating_p_sum,
     check_odd_prime,
     galois,
@@ -57,11 +65,29 @@ def decompose_terms(p_fp: LaurentPoly, p_sfp: LaurentPoly, p: int) -> list[Decom
     check_odd_prime(p)
     if not p_fp.is_symmetric() or not p_sfp.is_symmetric():
         raise ValueError("dimension representatives must be symmetric in z -> 1/z")
+    by_parity = []  # (g, exponents of g bucketed by residue mod p), for r even then r odd
+    for sign in (-1, 1):
+        g = dict(p_fp.items())
+        for e, c in p_sfp.items():
+            g[e] = g.get(e, 0) + sign * c
+        buckets = [[] for _ in range(p)]
+        for e, c in g.items():
+            if c:
+                buckets[e % p].append(e)
+        by_parity.append((g, buckets))
     terms = []
     for r in range(1, p):
-        combined = p_fp + (p_sfp if r % 2 else -p_sfp)
-        f = LaurentPoly({-r: 1, r: -1}) * _Z_MINUS_ZINV * combined
-        total, contributions = alternating_p_sum(f, p)
+        g, buckets = by_parity[r % 2]
+        get = g.get
+        js = {(e - s) // p for s in (r - 1, r + 1, -r - 1, 1 - r) for e in buckets[s % p]}
+        contributions = []
+        for j in sorted(js):
+            n = p * j
+            c = get(n + r - 1, 0) - get(n + r + 1, 0) - get(n - r - 1, 0) + get(n - r + 1, 0)
+            if c:
+                contributions.append((j, c))
+        contributions = tuple(contributions)
+        total = _alternating_sum(contributions)
         terms.append(DecompositionTerm(r, contributions, total, Fraction(total, 4)))
     return terms
 
@@ -71,6 +97,7 @@ def decompose_from_dims(
     p_sfp: LaurentPoly,
     p: int,
     expect_effective: bool = True,
+    terms: list[DecompositionTerm] | None = None,
 ) -> VerObj:
     """Recover an object of Ver_p from symmetric Laurent representatives of
     its Frobenius-Perron and super Frobenius-Perron dimensions.
@@ -78,10 +105,13 @@ def decompose_from_dims(
     Round-trip law: decompose_from_dims(fpdim_rep(x), sfpdim_rep(x), x.p) == x.
     Raises IntegralityError if some multiplicity fails to be an integer
     (inconsistent representatives), or fails to be nonnegative while the
-    caller expects an effective object.
+    caller expects an effective object.  A caller that also needs the terms
+    passes terms = decompose_terms(p_fp, p_sfp, p), so the projection runs once.
     """
+    if terms is None:
+        terms = decompose_terms(p_fp, p_sfp, p)
     mults = []
-    for term in decompose_terms(p_fp, p_sfp, p):
+    for term in terms:
         a = term.multiplicity
         if a.denominator != 1:
             raise IntegralityError(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .laurent import Cyclotomic, LaurentPoly, is_prime, quantum_int, to_cyclotomic
+from .laurent import Cyclotomic, LaurentPoly, is_prime, quantum_sum, to_cyclotomic
 
 
 def _reject_p2(p: int, what: str) -> None:
@@ -163,7 +163,8 @@ def character(j: int, x: VerObj) -> Cyclotomic:
 
     The characters for j = 1 .. p-1 are exactly the ring homomorphisms to the
     cyclotomic integers; j = 1 is the Frobenius-Perron dimension and j = p-1
-    the signed (super) dimension.
+    the signed (super) dimension.  Computed by folding the representative
+    fpdim_rep(x) once: z^e goes to q^{je}, then one canonical reduction.
     """
     p = x.p
     if p == 2:
@@ -172,12 +173,7 @@ def character(j: int, x: VerObj) -> Cyclotomic:
         return Cyclotomic(2, (x.mults[0],))
     if not 1 <= j <= p - 1:
         raise ValueError(f"character index j = {j} out of range 1..{p - 1}")
-    total = LaurentPoly.zero()
-    for r in range(1, p):
-        a = x.mults[r - 1]
-        if a:
-            total = total + quantum_int(r).scale_exponents(j) * a
-    return to_cyclotomic(total, p)
+    return to_cyclotomic(fpdim_rep(x).scale_exponents(j), p)
 
 
 def fpdim(x: VerObj) -> Cyclotomic:
@@ -187,12 +183,7 @@ def fpdim(x: VerObj) -> Cyclotomic:
 
 def fpdim_rep(x: VerObj) -> LaurentPoly:
     """Distinguished symmetric Laurent representative of fpdim: sum_r a_r [r]_z."""
-    total = LaurentPoly.zero()
-    for r in range(1, x.p):
-        a = x.mults[r - 1]
-        if a:
-            total = total + quantum_int(r) * a
-    return total
+    return quantum_sum(x.mults)
 
 
 def sfpdim(x: VerObj) -> Cyclotomic:
@@ -204,12 +195,7 @@ def sfpdim(x: VerObj) -> Cyclotomic:
 
 def sfpdim_rep(x: VerObj) -> LaurentPoly:
     """Symmetric Laurent representative of sfpdim: sum_r (-1)^{r-1} a_r [r]_z."""
-    total = LaurentPoly.zero()
-    for r in range(1, x.p):
-        a = x.mults[r - 1]
-        if a:
-            total = total + quantum_int(r) * (a if r % 2 else -a)
-    return total
+    return quantum_sum([a if r % 2 else -a for r, a in enumerate(x.mults, start=1)])
 
 
 def parity_split(x: VerObj) -> ParitySplit:

@@ -48,6 +48,21 @@ def effective_verobj(draw, p=None, max_mult=3):
     return VerObj(p, tuple(mults))
 
 
+# Primes of the reference-equality properties: small ones for coverage of
+# edge cases, 31 and 61 for the sizes the benchmark runs.
+REFERENCE_PRIMES = (3, 5, 7, 11, 13, 31, 61)
+
+
+@st.composite
+def sampled_verobj(draw, virtual: bool):
+    """An object (virtual=False) or a virtual class over a prime from
+    REFERENCE_PRIMES, with a drawn share of zero multiplicities."""
+    p = draw(st.sampled_from(REFERENCE_PRIMES))
+    mult = st.integers(-3, 3) if virtual else st.integers(0, 3)
+    mults = draw(st.lists(st.one_of(st.just(0), mult), min_size=p - 1, max_size=p - 1))
+    return VerObj(p, tuple(mults))
+
+
 @pytest.fixture
 def rng():
     return random.Random(987654321)

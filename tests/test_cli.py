@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import time
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from verlinde_kit import VerObj, cli, powers
 from verlinde_kit.cli import main
-from verlinde_kit.formats import verobj_from_json
-from verlinde_kit import VerObj
+from verlinde_kit.formats import QUANTUM_INT_CAP, verobj_from_json
 
 
 def run_cli(capsys, *argv):
@@ -138,6 +143,14 @@ def test_decompose_json_non_integer_is_bad_input(capsys):
         assert "integer" in err
 
 
+def test_decompose_deeply_nested_json_is_bad_input(capsys):
+    # json.loads raises RecursionError here, which used to escape main
+    code, out, err = run_cli(capsys, "decompose", "--p", "3", "--fpdim", '{"a":' * 100000, "--sfpdim", "0")
+    assert code == 2
+    assert out == ""
+    assert "nested too deeply" in err
+
+
 def test_decompose_huge_exponent_is_cheap(capsys):
     start = time.monotonic()
     code, out, _ = run_cli(
@@ -146,6 +159,37 @@ def test_decompose_huge_exponent_is_cheap(capsys):
     assert time.monotonic() - start < 10
     assert code == 0
     assert out.strip() == "L1+L2"
+
+
+def test_decompose_explain_runs_the_trace_projection_once(capsys, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return decompose_terms(*args)
+
+    decompose_terms = powers.decompose_terms
+    monkeypatch.setattr(cli, "decompose_terms", counting)
+    monkeypatch.setattr(powers, "decompose_terms", counting)
+    code, out, _ = run_cli(capsys, "decompose", "--p", "61", "--fpdim", "[3]_z", "--sfpdim", "[3]_z", "--explain")
+    assert code == 0
+    assert out.splitlines()[0] == "L3"
+    assert "a_3 = (1/4)*(4) = 1" in out
+    assert len(calls) == 1
+
+
+def test_decompose_caps_quantum_integers(capsys):
+    start = time.monotonic()
+    code, out, err = run_cli(capsys, "decompose", "--p", "3", "--fpdim", "[50000000]_z", "--sfpdim", "0")
+    assert time.monotonic() - start < 1
+    assert code == 2
+    assert out == ""
+    assert "cap" in err
+    # r = 10^5 is even, so the super dimension of [r]_z carries the sign -1
+    r = QUANTUM_INT_CAP
+    code, out, _ = run_cli(capsys, "decompose", "--p", "3", "--fpdim", f"[{r}]_z", f"--sfpdim=-[{r}]_z", "--virtual")
+    assert code == 0
+    assert out.strip() == "-L2"
 
 
 def test_decompose_parse_error_exit_code(capsys):
@@ -245,10 +289,12 @@ def test_verify_rejects_p2(capsys):
 
 
 def test_verify_rejects_negative_max_dim(capsys):
-    code, out, err = run_cli(capsys, "verify", "--p-list", "3", "--max-dim", "-1")
-    assert code == 2
-    assert "PASS" not in out
-    assert "--max-dim" in err
+    # negative counts too: they used to run no random cell and still print PASS
+    for option in ("--max-dim", "--n-random", "--n-roundtrip"):
+        code, out, err = run_cli(capsys, "verify", "--p-list", "3", f"{option}=-1")
+        assert code == 2, option
+        assert "PASS" not in out
+        assert option in err
 
 
 def test_verify_without_oracle_cells_fails(capsys):
@@ -279,6 +325,36 @@ def test_csv_formats(capsys):
     assert out.splitlines()[0] == "i,object,fpdim,sfpdim,invariants"
 
 
+def test_index_ranges_are_checked_before_any_table(capsys):
+    # each of these used to print an empty table with exit 0, or to size a
+    # tuple or list from the index before rejecting it
+    for argv, what in (
+        (("fusion-table", "--p", "1"), "not prime"),
+        (("extpow", "--p", "5", "--r=-1"), "simple index r = -1 out of range"),
+        (("extpow", "--p", "5", "--r", "1000000000000"), "out of range"),
+        (("invariants", "--p", "5", "--m", "9"), "simple index m = 9 out of range"),
+        (("invariants", "--p", "5", "--m=-1000000000000"), "out of range"),
+        (("weyl", "--p", "5", "--m", "1000000000000", "--weight", "1"), "rank parameter m"),
+    ):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert what in err, argv
+
+
+def test_double_dash_option_value_is_usage_error(capsys):
+    # argparse turns "--opt=--" into an empty list, which no command expects
+    for argv in (("decompose", "--p=3", "--fpdim=1", "--sfpdim=--"), ("sympow", "--p=3", "--m=--")):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2, argv
+        assert out == ""
+        assert "'--'" in err
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
 def test_help_exits_zero(capsys):
     code, out, _ = run_cli(capsys, "--help")
     assert code == 0
@@ -288,3 +364,59 @@ def test_help_exits_zero(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     code, _, _ = run_cli(capsys)
     assert code == 2
+
+
+# -- fuzzed contract: every input ends in exit 0, 2, 3 or 4 within a bound -------
+
+FUZZ_PRIMES = (-1, 0, 1, 2, 3, 4, 5, 7, 9, 13)
+FUZZ_CALL_BOUND_S = 5.0
+
+_index = st.one_of(st.integers(-3, 16), st.integers(-(10**12), 10**12))
+_laurent_text = st.one_of(
+    st.sampled_from(("1", "0", "[2]_z", "-[2]_z", "[3]_z", "z+z^-1", "2*[4]_z-3z")),
+    st.text(alphabet="z^[]_+-*0123456789 ", max_size=24),
+    st.builds(lambda c, r: f"{c}*[{r}]_z", st.integers(-3, 3), st.integers(-(10**8), 10**8)),
+    st.builds(lambda e: f"z^{e}+z^{-e}", st.integers(0, 10**9)),
+    st.builds(
+        lambda offset, coeffs: json.dumps({"offset": offset, "coeffs": coeffs}),
+        st.one_of(st.integers(-(10**9), 10**9), st.floats(allow_nan=False), st.booleans()),
+        st.lists(st.one_of(st.integers(-5, 5), st.floats(allow_nan=False), st.booleans()), max_size=8),
+    ),
+    st.text(max_size=16).map(lambda t: "{" + t),
+)
+_int_list = st.one_of(
+    st.sampled_from(("0", "1", "1,0", "2,1", "1,1,0", "0,0,1,0", "1,2,0,1,0,3")),
+    st.lists(st.integers(-3, 20), max_size=14).map(lambda xs: ",".join(map(str, xs))),
+    st.text(alphabet="0123456789,- ", max_size=16),
+)
+
+
+@st.composite
+def cli_argv(draw):
+    command = draw(st.sampled_from(("fusion-table", "sympow", "extpow", "decompose", "weyl", "padic", "invariants")))
+    argv = [command, f"--p={draw(st.sampled_from(FUZZ_PRIMES))}"]
+    if command in ("sympow", "invariants", "weyl"):
+        argv.append(f"--m={draw(_index)}")
+    if command == "extpow":
+        argv.append(f"--r={draw(_index)}")
+    if command in ("sympow", "extpow", "invariants") and draw(st.booleans()):
+        argv.append(f"--i={draw(_index)}")
+    if command == "decompose":
+        argv += [f"--fpdim={draw(_laurent_text)}", f"--sfpdim={draw(_laurent_text)}"]
+        argv += [flag for flag in ("--virtual", "--explain") if draw(st.booleans())]
+    if command == "weyl":
+        argv.append(f"--weight={draw(_int_list)}")
+    if command == "padic":
+        argv.append(f"--mults={draw(_int_list)}")
+    argv.append(f"--format={draw(st.sampled_from(('text', 'csv', 'json')))}")
+    return argv
+
+
+@settings(max_examples=300)
+@given(cli_argv())
+def test_cli_contract_fuzzed(argv):
+    start = time.monotonic()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    assert time.monotonic() - start < FUZZ_CALL_BOUND_S, argv
+    assert code in (0, 2, 3, 4), argv

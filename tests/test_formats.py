@@ -1,8 +1,10 @@
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from verlinde_kit import LaurentPoly, VerObj, Weight, quantum_int
 from verlinde_kit.formats import (
+    QUANTUM_INT_CAP,
     laurent_from_json,
     laurent_to_json,
     parse_laurent,
@@ -88,6 +90,37 @@ def test_parse_laurent_quantum_brackets():
     assert parse_laurent("2[2]_z") == 2 * quantum_int(2)
     assert parse_laurent("[3]_z+[1]_z") == quantum_int(3) + 1
     assert parse_laurent("[2]_z-[2]_z").is_zero()
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(-4, 4),
+            st.one_of(st.integers(-12, 12).map(lambda r: ("qint", r)), st.integers(-50, 50).map(lambda e: ("z", e))),
+        ),
+        min_size=1,
+        max_size=8,
+    )
+)
+def test_parse_laurent_sums_terms(terms):
+    text = ""
+    want = LaurentPoly.zero()
+    for coeff, (kind, k) in terms:
+        if kind == "qint":
+            text += f"{coeff:+d}*[{k}]_z"
+            want = want + quantum_int(k) * coeff
+        else:
+            text += f"{coeff:+d}z^{k}"
+            want = want + LaurentPoly.monomial(k, coeff)
+    assert parse_laurent(text) == want
+
+
+def test_parse_laurent_caps_quantum_integers():
+    assert parse_laurent(f"[{QUANTUM_INT_CAP}]_z") == quantum_int(QUANTUM_INT_CAP)
+    assert parse_laurent(f"[{-QUANTUM_INT_CAP}]_z") == -quantum_int(QUANTUM_INT_CAP)
+    for r in (QUANTUM_INT_CAP + 1, -QUANTUM_INT_CAP - 1, 50000000):
+        with pytest.raises(ValueError, match="cap"):
+            parse_laurent(f"z+[{r}]_z")
 
 
 def test_parse_laurent_string_roundtrip():

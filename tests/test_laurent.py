@@ -15,7 +15,7 @@ from verlinde_kit import (
     to_cyclotomic,
     twice_trace,
 )
-from verlinde_kit.laurent import alternating_p_sum
+from verlinde_kit.laurent import alternating_p_sum, quantum_sum
 
 from conftest import ODD_PRIMES, integral_laurent, symmetric_laurent
 
@@ -172,6 +172,15 @@ def _gauss_binom_by_division(n: int, m: int) -> LaurentPoly:
         num = num * LaurentPoly({n - j + 1: 1, -(n - j + 1): -1})
         den = den * LaurentPoly({j: 1, -j: -1})
     return num.exact_div(den)
+
+
+@settings(max_examples=100)
+@given(st.lists(st.integers(-9, 9), max_size=40))
+def test_quantum_sum_adds_quantum_integers(weights):
+    want = LaurentPoly.zero()
+    for r, w in enumerate(weights, start=1):
+        want = want + quantum_int(r) * w
+    assert quantum_sum(weights) == want
 
 
 def test_gauss_against_division_definition():

@@ -1,7 +1,9 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verlinde_kit import (
     Cyclotomic,
@@ -11,6 +13,7 @@ from verlinde_kit import (
     adams2,
     classical_invariant_count,
     decompose_from_dims,
+    decompose_terms,
     ext_power,
     ext_power_simple,
     fpdim_rep,
@@ -31,8 +34,10 @@ from verlinde_kit import (
     transcendence_degrees,
 )
 from verlinde_kit.jordan import direct_sum, jordan_type_of, sym_power_matrix, unipotent_block
+from verlinde_kit.laurent import alternating_p_sum
+from verlinde_kit.powers import DecompositionTerm
 
-from conftest import ODD_PRIMES, effective_verobj, random_effective
+from conftest import ODD_PRIMES, effective_verobj, random_effective, sampled_verobj
 
 
 # -- decomposition from the two dimension characters -----------------------------
@@ -98,6 +103,54 @@ def _decompose_via_galois_sum(p_fp, p_sfp, p):
         assert rem == 0
         mults.append(value)
     return VerObj(p, tuple(mults))
+
+
+def _decompose_terms_ref(p_fp, p_sfp, p):
+    """Reference: the trace projection as its formula reads, forming
+    f_r = (z^-r - z^r)(z - z^-1)(P_fp - (-1)^r P_sfp) and taking
+    alternating_p_sum of it."""
+    terms = []
+    for r in range(1, p):
+        combined = p_fp + (p_sfp if r % 2 else -p_sfp)
+        f = LaurentPoly({-r: 1, r: -1}) * LaurentPoly({1: 1, -1: -1}) * combined
+        total, contributions = alternating_p_sum(f, p)
+        terms.append(DecompositionTerm(r, contributions, total, Fraction(total, 4)))
+    return terms
+
+
+@st.composite
+def sparse_symmetric(draw):
+    """Symmetric polynomials with a few terms, at exponents near the
+    four-shift windows of small p or anywhere up to 10^6."""
+    exps = st.one_of(st.integers(0, 200), st.integers(0, 10**6))
+    data = draw(st.dictionaries(exps, st.integers(-5, 5), max_size=6))
+    return LaurentPoly({s * e: c for e, c in data.items() for s in (1, -1)})
+
+
+@st.composite
+def dimension_data(draw):
+    """Representatives of an object, of a virtual class, or inconsistent
+    ones (an object's representatives plus symmetric noise)."""
+    kind = draw(st.sampled_from(("effective", "virtual", "inconsistent")))
+    x = draw(sampled_verobj(virtual=kind == "virtual"))
+    p_fp, p_sfp = fpdim_rep(x), sfpdim_rep(x)
+    if kind == "inconsistent":
+        p_fp, p_sfp = p_fp + draw(sparse_symmetric()), p_sfp + draw(sparse_symmetric())
+    return p_fp, p_sfp, x.p
+
+
+@settings(max_examples=150)
+@given(dimension_data())
+def test_decompose_terms_match_reference(case):
+    p_fp, p_sfp, p = case
+    assert decompose_terms(p_fp, p_sfp, p) == _decompose_terms_ref(p_fp, p_sfp, p)
+
+
+def test_decompose_terms_huge_exponents_match_reference():
+    big = LaurentPoly({300000000: 1, -300000000: 1, 299999999: 2, -299999999: 2})
+    for p in (3, 5, 61):
+        assert decompose_terms(big, big, p) == _decompose_terms_ref(big, big, p)
+        assert decompose_terms(big, LaurentPoly.zero(), p) == _decompose_terms_ref(big, LaurentPoly.zero(), p)
 
 
 def test_decompose_matches_galois_sum_route():

@@ -2,9 +2,11 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from verlinde_kit import (
     Cyclotomic,
+    LaurentPoly,
     VerObj,
     character,
     dim_mod_p,
@@ -21,7 +23,7 @@ from verlinde_kit import (
     to_cyclotomic,
 )
 
-from conftest import ODD_PRIMES, effective_verobj
+from conftest import ODD_PRIMES, effective_verobj, sampled_verobj
 
 
 def simples(p):
@@ -142,6 +144,39 @@ def test_characters_pairwise_distinct():
     for p in ODD_PRIMES:
         rows = [tuple(character(j, x).coords for x in simples(p)) for j in range(1, p)]
         assert len(set(rows)) == p - 1
+
+
+# Reference implementations: each simple contributes its own quantum integer,
+# added one Laurent polynomial at a time.
+
+
+def _fpdim_rep_ref(x, signed=False):
+    total = LaurentPoly.zero()
+    for r in range(1, x.p):
+        a = x.mults[r - 1]
+        if a:
+            total = total + quantum_int(r) * (-a if signed and r % 2 == 0 else a)
+    return total
+
+
+def _character_ref(j, x):
+    total = LaurentPoly.zero()
+    for r in range(1, x.p):
+        a = x.mults[r - 1]
+        if a:
+            total = total + quantum_int(r).scale_exponents(j) * a
+    return to_cyclotomic(total, x.p)
+
+
+@settings(max_examples=60)
+@given(st.booleans().flatmap(sampled_verobj), st.data())
+def test_characters_and_representatives_match_reference(x, data):
+    assert fpdim_rep(x) == _fpdim_rep_ref(x)
+    assert sfpdim_rep(x) == _fpdim_rep_ref(x, signed=True)
+    p = x.p
+    js = {1, p - 1} | set(data.draw(st.lists(st.integers(1, p - 1), max_size=4)))
+    for j in sorted(js):
+        assert character(j, x).coords == _character_ref(j, x).coords, j
 
 
 # -- the two dimensions ------------------------------------------------------------
